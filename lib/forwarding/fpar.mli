@@ -17,9 +17,13 @@
     estimated cost below {!auto_cutoff} falls back to the sequential
     engine, so small queries never pay the fan-out overhead. *)
 
-(** Parallel {!Fquery.all_pairs}: one forward pass per start location,
-    fanned across [domains] worker domains (or the [pool]'s resident
-    workers). Identical row list to the sequential engine. *)
+(** Parallel {!Fquery.all_pairs}: one task per {!Fquery.start_groups}
+    group (long groups are split for load balance), fanned across [domains]
+    worker domains (or the [pool]'s resident workers). Each task runs one
+    forward pass from its representative. Each worker extracts witnesses
+    through one {!Fquery.extractor} per call, so it turns a delivered set
+    into an example packet once, however many rows carry it. Identical row
+    list to the sequential engine. *)
 val all_pairs :
   ?pool:Par.Pool.t ->
   ?domains:int ->
@@ -115,12 +119,8 @@ val worker_stats : unit -> int * int
     result (the MRU cache is domain-local). [spec]/[fp] should come from
     {!Fquery.spec_with_fingerprint} computed on the caller before fan-out.
     Exposed so other subsystems (the failure-scenario sweep) can share the
-    per-worker resident graph cache.
-    [cmode] (default [`Off]) aligns the resident query's quotient-
-    compression mode with the caller's; the cache entry stays keyed on the
-    spec fingerprint alone because answers are mode-independent. *)
+    per-worker resident graph cache. *)
 val worker_import :
-  ?cmode:Fquery.compress_mode ->
   fp:string ->
   spec:Fgraph.spec ->
   dp:Dataplane.t ->
@@ -143,8 +143,11 @@ val worker_cache_capacity : unit -> int
 (** [prewarm ?pool q] imports [q]'s graph into every resident pool worker
     up front (one broadcast), so the first query against the snapshot finds
     the workers warm instead of paying the per-worker spec import inside
-    its own latency. Returns the number of workers warmed; [0] without a
-    live pool. Must not be called from inside a pool worker. *)
+    its own latency. Each worker then warms its manager with exactly what a
+    default {!all_pairs} runs: one pass per {!Fquery.start_groups}
+    representative, with witnesses drawn through an {!Fquery.extractor}.
+    Returns the number of workers warmed; [0] without a live pool. Must
+    not be called from inside a pool worker. *)
 val prewarm : ?pool:Par.Pool.t -> Fquery.t -> int
 
 (** Aggregate over a pool's resident workers: how many responded, total

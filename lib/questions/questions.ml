@@ -385,15 +385,32 @@ let multipath_consistency ?pool ?(domains = 1) ?(auto = false) q =
   { a_title = "multipathConsistency";
     a_header = [ "node"; "interface"; "exampleFlow" ]; a_rows = rows }
 
+(* Rows are O(starts x destinations), but the distinct (destination,
+   witness) pairs among them are few: interchangeable starts share rows and
+   a fabric delivers the same set to many destinations. Each distinct pair
+   is rendered once, and every row carrying it shares the same [dst; flow]
+   tail cells. *)
 let all_pairs_reachability ?pool ?(domains = 1) ?(auto = false) q =
+  let tails = Hashtbl.create 1024 in
+  let tail (r : Fquery.reach_row) =
+    let key = (r.rr_dst, r.rr_example) in
+    match Hashtbl.find_opt tails key with
+    | Some cells -> cells
+    | None ->
+      let flow =
+        match r.rr_example with
+        | Some p -> Packet.to_string p
+        | None -> "-"
+      in
+      let cells = [ r.rr_dst; flow ] in
+      Hashtbl.add tails key cells;
+      cells
+  in
   let rows =
     List.map
       (fun (r : Fquery.reach_row) ->
         let node, iface = r.rr_src in
-        [ node; Option.value iface ~default:"-"; r.rr_dst;
-          (match r.rr_example with
-           | Some p -> Packet.to_string p
-           | None -> "-") ])
+        node :: Option.value iface ~default:"-" :: tail r)
       (Fpar.all_pairs ?pool ~domains ~auto q)
   in
   { a_title = "allPairsReachability";

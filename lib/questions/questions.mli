@@ -110,7 +110,9 @@ val multipath_consistency :
 
 (** All-pairs reachability: one row per (source location, destination node)
     pair with delivered flows, with an example flow each. [domains] fans the
-    per-source forward passes across worker domains. *)
+    per-group forward passes across worker domains. Each distinct
+    (destination, example) pair is rendered once; rows that carry it share
+    the same tail cells. *)
 val all_pairs_reachability :
   ?pool:Par.Pool.t -> ?domains:int -> ?auto:bool -> Fquery.t -> answer
 
