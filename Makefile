@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench-smoke bench-sweep check clean
+.PHONY: all build test lint loops-smoke bench-smoke bench-sweep check clean
 
 all: build
 
@@ -11,6 +11,15 @@ test:
 # Lint the shipped example fixtures with every registered pass.
 lint: build
 	dune exec bin/batfish_cli.exe -- lint --strict examples/configs/clean_small
+
+# Loop detection on a NET12 directory written by netgen. Loaded without the
+# generator's environment, its forwarding graph has a strongly connected
+# component of over a thousand locations; verify must finish inside a minute
+# (a cycle search over all simple paths there runs for minutes).
+loops-smoke: build
+	d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	_build/default/bin/batfish_cli.exe netgen NET12 --out "$$d" >/dev/null && \
+	timeout 60 _build/default/bin/batfish_cli.exe verify "$$d" >/dev/null
 
 # Fast benchmark subset: exercises the sharded parallel verification engine
 # (and fails if parallel results ever diverge from the sequential engine) and
@@ -33,13 +42,15 @@ bench-sweep: build
 
 # The full gate: everything compiles, every test passes (which includes
 # linting the example fixtures via the runtest alias), the repository
-# benchmark's own suite passes (its API calls and answer digests), and the
-# bench smoke subset runs to completion. The steps run one after another:
-# the benchmark suite takes both cores and must not share them with runtest.
+# benchmark's own suite passes (its API calls and answer digests), verify
+# finishes on a netgen NET12 directory, and the bench smoke subset runs to
+# completion. The steps run one after another: the benchmark suite takes
+# both cores and must not share them with runtest.
 check:
 	dune build
 	dune runtest
 	dune build @perfbench/selftest
+	$(MAKE) loops-smoke
 	$(MAKE) bench-smoke
 
 clean:

@@ -46,6 +46,23 @@ type export_entry = {
   mutable ex_wire : Route.t list;  (* arrival-zeroed, sorted, deduped *)
 }
 
+(* What [update] warm-starts a component from, besides its RIBs: the wire
+   snapshot of every internal session, receiver-keyed, and whether the fixed
+   point is delta-safe — false when it is timing-dependent (an
+   arrival-decided best-set boundary on some node): warm-started propagation
+   could then legitimately land on a different fixed point, so [update]
+   falls back to scratch. *)
+type warm_base = { wb_exports : export_entry list; wb_delta_safe : bool }
+
+(* A cold [compute] has no use for its [warm_base], and building one costs
+   an export per best route per session, so the cold path leaves a builder
+   and the first [update] against the result runs it. Several domains may
+   update against one base at once (a failure sweep does), so the cell is
+   forced under its lock: exactly one caller builds, the others wait and
+   read the same value. *)
+type warm_cell = { wc_lock : Mutex.t; mutable wc_state : warm_state }
+and warm_state = Built of warm_base | Pending of (unit -> warm_base)
+
 (* Result of simulating one dependency component (see [component_partition]).
    Retained inside [t] so that [update] can splice unchanged components'
    results into a new snapshot without re-running them, and warm-start
@@ -64,13 +81,8 @@ type comp_result = {
       (* per-member digest of the pre-BGP main RIB (and external BGP inputs):
          a member whose digest matches the base's needs re-simulation only if
          its incoming advertisements change *)
-  cr_exports : export_entry list;
   cr_ospf_digest : string;  (* digest of the last SPF inputs used *)
-  cr_delta_safe : bool;
-      (* false when the fixed point is timing-dependent (an arrival-decided
-         best-set boundary on some node): warm-started propagation could then
-         legitimately land on a different fixed point, so [update] falls back
-         to scratch *)
+  cr_warm : warm_cell;
 }
 
 type stats = {
@@ -471,7 +483,7 @@ let next_arrival options node =
 
 (* Export r from [sender] toward the peer described by [rev] (the sender's
    neighbor stanza for the receiver). [sender_ip] is the sender's session
-   address. Returns the route as it appears on the wire. *)
+   address. Returns the route as it appears on the wire, arrival-free. *)
 let export_route sender (rev : Vi.bgp_neighbor) ~sender_ip ~receiver_ip ~is_ibgp r =
   let open Route in
   if r.from_peer = receiver_ip then None (* don't echo back to the sender *)
@@ -529,36 +541,35 @@ let export_route sender (rev : Vi.bgp_neighbor) ~sender_ip ~receiver_ip ~is_ibgp
         match Policy_eval.run_optional ctx rev.bn_export_policy r with
         | Policy_eval.Denied -> None
         | Policy_eval.Accepted r ->
+          (* Every wire rewrite goes into one [Attrs.update], so an export
+             interns its attributes once: weight reset, communities stripped
+             unless sent, and for eBGP our AS prepended with local preference
+             and reflection state reset for the receiver. *)
           let attrs = Route.get_attrs r in
-          let attrs = Attrs.update ~weight:0 attrs in
-          let attrs =
-            if rev.bn_send_community then attrs else Attrs.update ~communities:[] attrs
-          in
-          let sender_as =
-            Option.value rev.bn_local_as
-              ~default:
-                (match sender.cfg.Vi.bgp with
-                 | Some b -> b.bp_as
-                 | None -> 0)
-          in
-          let r =
+          let communities = if rev.bn_send_community then None else Some [] in
+          let attrs, next_hop =
             if not is_ibgp then
-              (* eBGP: prepend our AS, set next hop to our address, reset
-                 local preference for the receiver. *)
-              { r with
-                attrs =
-                  Some
-                    (Attrs.update ~as_path:(sender_as :: attrs.Attrs.as_path)
-                       ~local_pref:100 ~originator_id:0 ~cluster_list:[] attrs);
-                next_hop = Nh_ip sender_ip }
-            else
-              let nh =
-                if rev.bn_next_hop_self || r.from_peer = 0 then Nh_ip sender_ip
-                else r.next_hop
+              let sender_as =
+                Option.value rev.bn_local_as
+                  ~default:
+                    (match sender.cfg.Vi.bgp with
+                     | Some b -> b.bp_as
+                     | None -> 0)
               in
-              { r with attrs = Some attrs; next_hop = nh }
+              ( Attrs.update ~weight:0 ?communities
+                  ~as_path:(sender_as :: attrs.Attrs.as_path) ~local_pref:100
+                  ~originator_id:0 ~cluster_list:[] attrs,
+                Nh_ip sender_ip )
+            else
+              ( Attrs.update ~weight:0 ?communities attrs,
+                if rev.bn_next_hop_self || r.from_peer = 0 then Nh_ip sender_ip
+                else r.next_hop )
           in
-          Some { r with from_peer = 0; from_rid = sender.router_id })
+          (* The receiver stamps its own arrival clock, so the wire carries
+             none. *)
+          Some
+            { r with attrs = Some attrs; next_hop; arrival = 0; from_peer = 0;
+              from_rid = sender.router_id })
 
 (* Import r at [receiver] over [s]; returns the route to merge. *)
 let import_route options receiver (s : session) ~sender_rid r =
@@ -678,8 +689,7 @@ let apply_bgp_delta_to_main node (adds, dels) =
    receiver keeps when one peer advertises several variants of a net (iBGP
    multipath without next-hop rewrite) is a function of the sender's final
    best set, not of delivery history. *)
-let canonical_route_order (a : Route.t) (b : Route.t) =
-  compare { a with Route.arrival = 0 } { b with Route.arrival = 0 }
+let canonical_route_order = Route.compare_ignoring_arrival
 
 let publish options node ~round =
   if Rib.dirty node.bgp_rib then begin
@@ -853,18 +863,20 @@ let prebgp_digest env node =
   in
   Digest.to_hex (Digest.string (Marshal.to_string (rib_state node.main_rib, externals) []))
 
-(* The wire list one internal session carries: the sender's current BGP best
-   routes, canonically ordered, through its export pipeline, arrival-zeroed.
-   The order is kept (no terminal sort): the receiver imports advertisements
-   in exactly this sequence and keeps the last accepted variant per net, so
-   two equal wire lists mean the receiver's inputs over this session — and
-   hence its kept candidates — are unchanged. *)
-let wire_routes ~sender ~rev ~sender_ip ~receiver_ip ~is_ibgp =
-  Rib.best_routes sender.bgp_rib
-  |> List.sort canonical_route_order
-  |> List.filter_map (fun r ->
-         export_route sender rev ~sender_ip ~receiver_ip ~is_ibgp r)
-  |> List.map (fun (r : Route.t) -> { r with Route.arrival = 0 })
+(* A sender's current BGP best routes in canonical order: sorted once per
+   sender state and shared by every session the sender feeds. *)
+let advertised sender = List.sort canonical_route_order (Rib.best_routes sender.bgp_rib)
+
+(* The wire list one internal session carries: the sender's [advertised]
+   routes through its export pipeline. The order is kept (no terminal sort):
+   the receiver imports advertisements in exactly this sequence and keeps the
+   last accepted variant per net, so two equal wire lists mean the receiver's
+   inputs over this session — and hence its kept candidates — are
+   unchanged. *)
+let wire_routes ~sender ~advertised ~rev ~sender_ip ~receiver_ip ~is_ibgp =
+  List.filter_map
+    (fun r -> export_route sender rev ~sender_ip ~receiver_ip ~is_ibgp r)
+    advertised
 
 (* An arrival-decided best-set boundary: two eBGP candidates for the same
    prefix that tie on every decision step before the arrival clock, only one
@@ -1209,11 +1221,12 @@ let prebgp_phases ~env ~topo ~live ~nodes ~node_index ~isolate ~is_quarantined
   end;
   !last_digest
 
-(* Final-state export snapshots plus the delta-safety verdict (see
-   [comp_result]): every internal session's wire list, receiver-keyed, and
-   whether any node's best-set boundary is arrival-decided. *)
+(* The [warm_base] of a finished simulation: every internal session's wire
+   list, receiver-keyed, and whether any node's best-set boundary is
+   arrival-decided. *)
 let export_snapshots nodes =
   let entries = ref [] and safe = ref true in
+  let advertised = Array.map advertised nodes in
   Array.iter
     (fun node ->
       List.iter
@@ -1228,8 +1241,9 @@ let export_snapshots nodes =
               | None -> Vi.bgp_neighbor_default s.ss_local_ip 0
             in
             let wire =
-              wire_routes ~sender ~rev ~sender_ip:s.ss_peer_ip
-                ~receiver_ip:s.ss_local_ip ~is_ibgp:s.ss_is_ibgp
+              wire_routes ~sender ~advertised:advertised.(ridx) ~rev
+                ~sender_ip:s.ss_peer_ip ~receiver_ip:s.ss_local_ip
+                ~is_ibgp:s.ss_is_ibgp
             in
             entries :=
               { ex_receiver = node.cfg.Vi.hostname; ex_peer_ip = s.ss_peer_ip;
@@ -1247,7 +1261,17 @@ let export_snapshots nodes =
       (fun a b -> compare (a.ex_receiver, a.ex_peer_ip) (b.ex_receiver, b.ex_peer_ip))
       !entries
   in
-  (entries, !safe)
+  { wb_exports = entries; wb_delta_safe = !safe }
+
+let warm_base cr =
+  let cell = cr.cr_warm in
+  Mutex.protect cell.wc_lock (fun () ->
+      match cell.wc_state with
+      | Built wb -> wb
+      | Pending build ->
+        let wb = build () in
+        cell.wc_state <- Built wb;
+        wb)
 
 (* Simulate one dependency component to its fixed point. [topo] is the
    global topology; by construction every topology- or session-relevant
@@ -1446,8 +1470,14 @@ let compute_component ~options ~env ~topo (comp : Vi.t list) =
                    sr_established = false; sr_reason = Some reason })
                node.down_sessions)
   in
-  let exports, delta_safe =
-    try export_snapshots nodes with _ -> ([], false)
+  (* The builder keeps [nodes] alive until the first update; their
+     publication logs are dead by now and need not be. *)
+  Array.iter (fun node -> node.published <- []) nodes;
+  let warm =
+    Pending
+      (fun () ->
+        try export_snapshots nodes
+        with _ -> { wb_exports = []; wb_delta_safe = false })
   in
   { cr_members = List.map (fun (c : Vi.t) -> c.Vi.hostname) comp;
     cr_results = List.rev !results;
@@ -1460,9 +1490,8 @@ let compute_component ~options ~env ~topo (comp : Vi.t list) =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) quarantine_tbl [];
     cr_diags = Diag.to_list dc;
     cr_prebgp = prebgp;
-    cr_exports = exports;
     cr_ospf_digest = ospf_digest;
-    cr_delta_safe = delta_safe }
+    cr_warm = { wc_lock = Mutex.create (); wc_state = warm } }
 
 (* --- warm per-node re-simulation: the route-delta worklist --- *)
 
@@ -1496,7 +1525,8 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
   if base_cr.cr_oscillated then raise (Fallback "base component oscillated");
   if base_cr.cr_quarantined <> [] then raise (Fallback "base component has quarantines");
   if base_cr.cr_diags <> [] then raise (Fallback "base component has diagnostics");
-  if not base_cr.cr_delta_safe then
+  let base_wb = warm_base base_cr in
+  if not base_wb.wb_delta_safe then
     raise (Fallback "base fixed point is timing-dependent");
   let nodes = Array.of_list (List.mapi make_node comp) in
   let n = Array.length nodes in
@@ -1613,7 +1643,7 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
   let exports : (string * Ipv4.t, export_entry) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun e -> Hashtbl.replace exports (e.ex_receiver, e.ex_peer_ip) { e with ex_wire = e.ex_wire })
-    base_cr.cr_exports;
+    base_wb.wb_exports;
   let reverse_of sender (s : session) =
     match s.ss_reverse with
     | Some rn -> rn
@@ -1654,8 +1684,9 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
                  ex_local_ip = s.ss_local_ip; ex_is_ibgp = s.ss_is_ibgp;
                  ex_sender = sender.cfg.Vi.hostname;
                  ex_wire =
-                   wire_routes ~sender ~rev ~sender_ip:s.ss_peer_ip
-                     ~receiver_ip:s.ss_local_ip ~is_ibgp:s.ss_is_ibgp }))
+                   wire_routes ~sender ~advertised:(advertised sender) ~rev
+                     ~sender_ip:s.ss_peer_ip ~receiver_ip:s.ss_local_ip
+                     ~is_ibgp:s.ss_is_ibgp }))
       nd.sessions;
     let live =
       List.filter_map
@@ -1789,6 +1820,7 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
     let quiet = ref true in
     if cur_bgp <> last_bgp_state.(i) || Hashtbl.mem changed_tbl name then begin
       last_bgp_state.(i) <- cur_bgp;
+      let advertised = advertised nd in
       Hashtbl.iter
         (fun _ e ->
           if e.ex_sender = name then
@@ -1808,7 +1840,7 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
                 match rev with
                 | None -> []
                 | Some rev ->
-                  wire_routes ~sender:nd ~rev ~sender_ip:e.ex_peer_ip
+                  wire_routes ~sender:nd ~advertised ~rev ~sender_ip:e.ex_peer_ip
                     ~receiver_ip:e.ex_local_ip ~is_ibgp:e.ex_is_ibgp
               in
               if wire <> e.ex_wire then begin
@@ -1899,9 +1931,10 @@ let warm_component_exn ~options ~env ~topo ~base_cr ~changed_tbl (comp : Vi.t li
       cr_quarantined = [];
       cr_diags = [];
       cr_prebgp = Array.to_list prebgp;
-      cr_exports = exports_list;
       cr_ospf_digest = ospf_digest;
-      cr_delta_safe = true },
+      cr_warm =
+        { wc_lock = Mutex.create ();
+          wc_state = Built { wb_exports = exports_list; wb_delta_safe = true } } },
     { ws_simulated = simulated; ws_converged_early = !early_count } )
 
 (* Any failed precondition or mid-flight surprise sends the component down

@@ -57,9 +57,7 @@ let of_rib ~node ~topo rib =
   { trie }
 
 let lookup_entry t ip =
-  match Prefix_trie.all_matches ip t.trie with
-  | [] -> None
-  | matches -> Some (snd (List.nth matches (List.length matches - 1)))
+  Option.map snd (Prefix_trie.longest_match ip t.trie)
 
 let lookup t ip =
   match lookup_entry t ip with

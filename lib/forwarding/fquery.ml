@@ -295,26 +295,16 @@ let find_loops t =
   in
   let comp = Scc.compute ~n adj in
   let groups = Scc.groups comp in
+  let first_cycle =
+    Scc.first_cycle comp
+      ~out:(fun v -> g.Fgraph.out_edges.(v))
+      ~target:(fun (e : Fgraph.edge) -> e.Fgraph.e_to)
+  in
   let results = ref [] in
   Array.iter
     (fun members ->
       if List.length members > 1 then begin
-        (* find one cycle through the component with DFS *)
-        let inside v = List.mem v members in
-        let start = List.hd members in
-        let rec dfs path v =
-          if v = start && path <> [] then Some (List.rev path)
-          else if List.exists (fun (w, _) -> w = v) path && v <> start then None
-          else
-            List.fold_left
-              (fun acc (e : Fgraph.edge) ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                  if inside e.e_to then dfs ((v, e) :: path) e.e_to else None)
-              None g.Fgraph.out_edges.(v)
-        in
-        match dfs [] start with
+        match first_cycle (List.hd members) with
         | None -> ()
         | Some cycle_edges ->
           let survive =

@@ -61,9 +61,16 @@ let translate_as_regex s =
     s;
   Buffer.contents buf
 
-let regex_cache : (string, Re.re) Hashtbl.t = Hashtbl.create 64
+(* Compiled regexes are cached per domain, like the [Attrs] pools: BGP
+   route exchange evaluates policies on several domains at once, a
+   [Hashtbl] is not safe to mutate concurrently, and a [Re.re] builds its
+   automaton lazily as it matches, so even a compiled regex cannot be shared
+   across domains. *)
+let regex_cache : (string, Re.re) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let as_path_regex_matches regex path =
+  let regex_cache = Domain.DLS.get regex_cache in
   let re =
     match Hashtbl.find_opt regex_cache regex with
     | Some re -> re

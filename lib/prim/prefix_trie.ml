@@ -42,21 +42,6 @@ let find p t =
   in
   go 0 t
 
-let longest_match ip t =
-  let rec go depth t best =
-    match t with
-    | Leaf -> best
-    | Node { value; left; right } ->
-      let best =
-        match value with
-        | Some v -> Some (Prefix.make ip depth, v)
-        | None -> best
-      in
-      if depth = 32 then best
-      else go (depth + 1) (if Ipv4.bit ip depth then right else left) best
-  in
-  go 0 t None
-
 let all_matches ip t =
   let rec go depth t acc =
     match t with
@@ -71,6 +56,31 @@ let all_matches ip t =
       else go (depth + 1) (if Ipv4.bit ip depth then right else left) acc
   in
   go 0 t []
+
+(* The walk carries the deepest kept node and its depth instead of building
+   a binding per match, and closes over nothing, so a lookup allocates only
+   its result. *)
+let deepest_result ip found at =
+  match found with
+  | Node { value = Some v; _ } -> Some (Prefix.make ip at, v)
+  | Node { value = None; _ } | Leaf -> None
+
+let rec deepest_at keep ip depth t found at =
+  match t with
+  | Leaf -> deepest_result ip found at
+  | Node { value; left; right } ->
+    let hit =
+      match value with
+      | Some v -> keep v
+      | None -> false
+    in
+    let found = if hit then t else found and at = if hit then depth else at in
+    if depth = 32 then deepest_result ip found at
+    else deepest_at keep ip (depth + 1) (if Ipv4.bit ip depth then right else left) found at
+
+let deepest_match keep ip t = deepest_at keep ip 0 t Leaf 0
+
+let longest_match ip t = deepest_match (fun _ -> true) ip t
 
 let rec fold_at ip depth f t acc =
   match t with

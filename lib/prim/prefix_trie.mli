@@ -25,6 +25,11 @@ val longest_match : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
 (** All bindings whose prefix contains [ip], shortest first. *)
 val all_matches : Ipv4.t -> 'a t -> (Prefix.t * 'a) list
 
+(** [deepest_match keep ip t] is the binding with the longest prefix
+    containing [ip] whose value satisfies [keep]: the last element of
+    [List.filter] over {!all_matches}, found without building that list. *)
+val deepest_match : ('a -> bool) -> Ipv4.t -> 'a t -> (Prefix.t * 'a) option
+
 (** Bindings whose prefix is contained within [p] (including [p] itself). *)
 val within : Prefix.t -> 'a t -> (Prefix.t * 'a) list
 

@@ -99,12 +99,15 @@ let best rib prefix =
   | Some e -> e.best
   | None -> []
 
+let has_best e =
+  match e.best with
+  | [] -> false
+  | _ :: _ -> true
+
 let lookup rib ip =
-  (* Deepest match with a non-empty best set. *)
-  let matches = Prefix_trie.all_matches ip rib.trie in
-  List.fold_left
-    (fun acc (p, e) -> if e.best <> [] then Some (p, e.best) else acc)
-    None matches
+  match Prefix_trie.deepest_match has_best ip rib.trie with
+  | Some (p, e) -> Some (p, e.best)
+  | None -> None
 
 let fold_best f rib acc = Prefix_trie.fold (fun p e acc -> f p e.best acc) rib.trie acc
 

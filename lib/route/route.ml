@@ -69,4 +69,41 @@ let to_string r =
 
 let pp fmt r = Format.pp_print_string fmt (to_string r)
 
-let same a b = { a with arrival = 0 } = { b with arrival = 0 }
+(* Both walk the fields without copying either record. [compare_ignoring_arrival]
+   goes in declaration order, which is the order polymorphic comparison of
+   the two records with [arrival] zeroed uses; [same] tests the cheap integer
+   fields first. Route.t holds no floats, so equality is [compare = 0]. *)
+let compare_ignoring_arrival a b =
+  let c = Prefix.compare a.net b.net in
+  if c <> 0 then c
+  else
+    let c = compare a.protocol b.protocol in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.admin b.admin in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.metric b.metric in
+        if c <> 0 then c
+        else
+          let c = compare a.next_hop b.next_hop in
+          if c <> 0 then c
+          else
+            let c = Int.compare a.tag b.tag in
+            if c <> 0 then c
+            else
+              let c = compare a.attrs b.attrs in
+              if c <> 0 then c
+              else
+                let c = Int.compare a.from_peer b.from_peer in
+                if c <> 0 then c
+                else
+                  let c = Int.compare a.from_rid b.from_rid in
+                  if c <> 0 then c else Int.compare a.ospf_area b.ospf_area
+
+let same a b =
+  a.from_peer = b.from_peer && a.metric = b.metric && a.admin = b.admin
+  && a.tag = b.tag && a.from_rid = b.from_rid && a.ospf_area = b.ospf_area
+  && a.protocol = b.protocol && Prefix.equal a.net b.net
+  && a.next_hop = b.next_hop
+  && Option.equal Attrs.equal a.attrs b.attrs

@@ -50,5 +50,11 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 (** Structural equality ignoring the arrival clock (used for delta
-    normalization: a re-learned identical route is not a change). *)
+    normalization: a re-learned identical route is not a change). Equal to
+    [{ a with arrival = 0 } = { b with arrival = 0 }], without the copies. *)
 val same : t -> t -> bool
+
+(** Structural order ignoring the arrival clock: the sign of
+    [compare { a with arrival = 0 } { b with arrival = 0 }], without the
+    copies. Zero exactly when {!same} holds. *)
+val compare_ignoring_arrival : t -> t -> int

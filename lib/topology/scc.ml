@@ -62,3 +62,36 @@ let groups comp =
     g.(comp.(v)) <- v :: g.(comp.(v))
   done;
   g
+
+(* The search is iterative, like [compute]: the frames hold each vertex's
+   untried out-edges, and [path] the edges taken down to the top frame. The
+   visited marks live in one array for every search and are cleared after
+   each, so a search costs its component's size, not the graph's. *)
+let first_cycle comp ~out ~target =
+  let visited = Array.make (Array.length comp) false in
+  fun start ->
+    let marked = ref [ start ] in
+    visited.(start) <- true;
+    let rec search frames path =
+      match frames with
+      | [] -> None
+      | (_, []) :: below ->
+        search below
+          (match path with
+           | [] -> []
+           | _ :: up -> up)
+      | (v, e :: es) :: below ->
+        let frames = (v, es) :: below in
+        let w = target e in
+        if comp.(w) <> comp.(start) then search frames path
+        else if w = start then Some (List.rev ((v, e) :: path))
+        else if visited.(w) then search frames path
+        else begin
+          visited.(w) <- true;
+          marked := w :: !marked;
+          search ((w, out w) :: frames) ((v, e) :: path)
+        end
+    in
+    let cycle = search [ (start, out start) ] [] in
+    List.iter (fun v -> visited.(v) <- false) !marked;
+    cycle

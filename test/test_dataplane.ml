@@ -309,6 +309,57 @@ let determinism () =
   in
   check Alcotest.(list string) "parallel equals sequential" base par
 
+(* Two spines and six leaves, all eBGP. Each leaf filters what it learns
+   through an AS-path list of its own that drops the next leaf's routes, so
+   the leaves — one color class, exchanged in parallel — compile and match
+   different regexes on different domains at once. *)
+let as_path_fabric_cfgs () =
+  let leaves = 6 in
+  let leaf i =
+    let filtered = 65100 + (i mod leaves) + 1 in
+    let uplink k =
+      [ Printf.sprintf " neighbor 10.%d.%d.1 remote-as 6500%d" k i k;
+        Printf.sprintf " neighbor 10.%d.%d.1 route-map IN%d in" k i i ]
+    in
+    [ Printf.sprintf "hostname leaf%d" i;
+      "interface up1"; Printf.sprintf " ip address 10.1.%d.2 255.255.255.252" i;
+      "interface up2"; Printf.sprintf " ip address 10.2.%d.2 255.255.255.252" i;
+      "interface lan"; Printf.sprintf " ip address 172.16.%d.1 255.255.255.0" i;
+      Printf.sprintf "ip as-path access-list PATHS%d deny _%d_" i filtered;
+      Printf.sprintf "ip as-path access-list PATHS%d permit ^6500[12]_" i;
+      Printf.sprintf "route-map IN%d permit 10" i;
+      Printf.sprintf " match as-path PATHS%d" i;
+      Printf.sprintf "router bgp %d" (65100 + i);
+      Printf.sprintf " bgp router-id 10.255.0.%d" i ]
+    @ uplink 1 @ uplink 2
+    @ [ Printf.sprintf " network 172.16.%d.0 mask 255.255.255.0" i ]
+  in
+  let spine k =
+    [ Printf.sprintf "hostname spine%d" k ]
+    @ List.concat_map
+        (fun i ->
+          [ Printf.sprintf "interface down%d" i;
+            Printf.sprintf " ip address 10.%d.%d.1 255.255.255.252" k i ])
+        (List.init leaves succ)
+    @ [ Printf.sprintf "router bgp 6500%d" k;
+        Printf.sprintf " bgp router-id 10.254.0.%d" k ]
+    @ List.map
+        (fun i -> Printf.sprintf " neighbor 10.%d.%d.2 remote-as %d" k i (65100 + i))
+        (List.init leaves succ)
+  in
+  [ spine 1; spine 2 ] @ List.init leaves (fun i -> leaf (i + 1))
+
+let as_path_parallel () =
+  let cfgs = as_path_fabric_cfgs () in
+  let serial = compute cfgs in
+  (* the lists filter: leaf1 drops leaf2's LAN and keeps leaf3's *)
+  check Alcotest.int "leaf2 filtered at leaf1" 0
+    (List.length (routes_to "leaf1" serial "172.16.2.0/24"));
+  check Alcotest.bool "leaf3 kept at leaf1" true
+    (routes_to "leaf1" serial "172.16.3.0/24" <> []);
+  let par = compute ~options:{ Dataplane.default_options with domains = 2 } cfgs in
+  check Alcotest.(list string) "domains=2 equals domains=1" (dump serial) (dump par)
+
 (* --- session establishment failures --- *)
 
 let session_down_reasons () =
@@ -425,7 +476,8 @@ let suites =
     ( "dataplane.convergence",
       [ Alcotest.test_case "fig1b colored" `Quick fig1b_colored;
         Alcotest.test_case "fig1b lockstep" `Quick fig1b_lockstep;
-        Alcotest.test_case "determinism" `Quick determinism ] );
+        Alcotest.test_case "determinism" `Quick determinism;
+        Alcotest.test_case "as-path lists across domains" `Quick as_path_parallel ] );
     ( "dataplane.sessions",
       [ Alcotest.test_case "acl blocks tcp/179" `Quick session_down_reasons;
         Alcotest.test_case "one-way acl still up" `Quick session_one_way_acl;

@@ -426,6 +426,28 @@ let loops () =
   let q2 = fq (fig2 ()) in
   check Alcotest.int "no loops in fig2" 0 (List.length (Fquery.find_loops q2))
 
+(* NET12 loaded without the generator's environment, as a [netgen --out]
+   directory is: its forwarding graph has a strongly connected component of
+   over a thousand locations, where a cycle search over all simple paths runs
+   for minutes. One search per component is linear, so the bound is loose. *)
+let loops_net12_bounded () =
+  let p = List.find (fun (p : Netgen.profile) -> p.Netgen.p_name = "NET12") Netgen.profiles in
+  let net = p.Netgen.p_make 1.0 in
+  let bf = Batfish.init (Batfish.Snapshot.of_texts net.Netgen.n_configs) in
+  let q = Batfish.forwarding bf in
+  let g = Fquery.graph q in
+  let n = Fgraph.n_locs g in
+  let comp =
+    Scc.compute ~n
+      (Array.map (List.map (fun (e : Fgraph.edge) -> e.Fgraph.e_to)) g.Fgraph.out_edges)
+  in
+  let largest = Array.fold_left (fun m c -> max m (List.length c)) 0 (Scc.groups comp) in
+  check Alcotest.bool "a component of over a thousand locations" true (largest > 1000);
+  let t0 = Unix.gettimeofday () in
+  ignore (Fquery.find_loops q);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 10. then Alcotest.failf "find_loops took %.1f s (bound 10 s)" elapsed
+
 (* --- compression ablation: identical answers --- *)
 
 let compression_equivalence () =
@@ -462,4 +484,5 @@ let suites =
         Alcotest.test_case "waypoint" `Quick waypoint;
         Alcotest.test_case "zones + bidirectional" `Quick zones_bidirectional;
         Alcotest.test_case "nat" `Quick nat;
-        Alcotest.test_case "loops" `Quick loops ] ) ]
+        Alcotest.test_case "loops" `Quick loops;
+        Alcotest.test_case "loops on NET12 within a time bound" `Quick loops_net12_bounded ] ) ]

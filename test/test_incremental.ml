@@ -407,6 +407,59 @@ let nat_differential () =
       check Alcotest.bool (name ^ " flows checked") true (flows > 0))
     [ ("NET1", 7); ("NET7", 11) ]
 
+(* --- the warm snapshot, built on first use, under concurrent updates ---- *)
+
+let concurrent_first_updates () =
+  (* A cold base leaves its warm snapshot unbuilt; two domains updating it
+     at once must both take the warm path (one builds the snapshot, the
+     other waits for it) and land on the scratch fixed point. *)
+  let net = (profile "NET10").Netgen.p_make 0.5 in
+  let env = net.Netgen.n_env in
+  let parse files = List.map (fun (_, text) -> fst (Parse.parse_config text)) files in
+  (* an unreachable static route on the last device *)
+  let target = fst (List.nth net.Netgen.n_configs (List.length net.Netgen.n_configs - 1)) in
+  let edited =
+    List.map
+      (fun (f, text) ->
+        if f = target then (f, text ^ "\nip route 10.99.0.0 255.255.0.0 10.99.1.1\n")
+        else (f, text))
+      net.Netgen.n_configs
+  in
+  let cfgs = parse net.Netgen.n_configs and cfgs' = parse edited in
+  let changed =
+    List.filter_map
+      (fun ((a : Vi.t), (b : Vi.t)) -> if a = b then None else Some b.Vi.hostname)
+      (List.combine cfgs cfgs')
+  in
+  check Alcotest.int "one node edited" 1 (List.length changed);
+  let update base = Dataplane.update ~env ~base ~changed cfgs' in
+  let serial = update (Dataplane.compute ~env cfgs) in
+  let st = serial.Dataplane.stats in
+  check Alcotest.bool "serial update is warm" true
+    (st.Dataplane.st_simulated_nodes < List.length cfgs);
+  let base = Dataplane.compute ~env cfgs in
+  let ready = Atomic.make 0 in
+  let racer () =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do
+          Domain.cpu_relax ()
+        done;
+        update base)
+  in
+  let d1 = racer () and d2 = racer () in
+  let u1 = Domain.join d1 and u2 = Domain.join d2 in
+  let scratch = routing_state (Dataplane.compute ~env cfgs') in
+  List.iter
+    (fun (name, (u : Dataplane.t)) ->
+      check Alcotest.bool (name ^ " took the warm path") true
+        (u.Dataplane.stats = st);
+      check Alcotest.bool (name ^ " equals scratch") true (routing_state u = scratch))
+    [ ("first racer", u1); ("second racer", u2) ];
+  check Alcotest.bool "racers identical" true
+    (routing_state u1 = routing_state u2
+    && u1.Dataplane.sessions = u2.Dataplane.sessions)
+
 let suites =
   [ ( "incremental",
       [ Alcotest.test_case "per-profile bit-identity" `Quick profile_identity;
@@ -416,4 +469,6 @@ let suites =
         Alcotest.test_case "no-op advert edit" `Quick noop_advert_edit;
         Alcotest.test_case "cosmetic edit keeps memo" `Quick cosmetic_edit;
         Alcotest.test_case "hop limit vs loop" `Quick hop_limit_vs_loop;
-        Alcotest.test_case "NAT differential harness" `Quick nat_differential ] ) ]
+        Alcotest.test_case "NAT differential harness" `Quick nat_differential;
+        Alcotest.test_case "concurrent first updates stay warm" `Quick
+          concurrent_first_updates ] ) ]

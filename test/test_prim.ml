@@ -101,6 +101,34 @@ let trie_lpm_matches_model =
       | Some (p, v), Some (q, w) -> Prefix.equal p q && v = w
       | _ -> false)
 
+(* Nested prefixes of a few addresses, and addresses near them, so that a
+   lookup meets several bindings on its path. *)
+let nested_bases = [ 0x0A000000; 0x0A010100; 0x0A0101FF; 0xC0A80001 ]
+
+let nested_gen =
+  QCheck.Gen.(
+    list_size (int_bound 20)
+      (pair (map2 Prefix.make (oneofl nested_bases) (int_bound 32)) small_nat))
+
+let near_ip_gen =
+  QCheck.Gen.(map2 (fun b d -> b lxor d) (oneofl nested_bases) (oneofl [ 0; 1; 0x100; 0x10000 ]))
+
+let trie_deepest_matches_filter =
+  qtest "deepest_match = last kept of all_matches"
+    (QCheck.make QCheck.Gen.(triple nested_gen near_ip_gen (int_bound 3)))
+    (fun (l, ip, dropped) ->
+      let t = trie_of_assoc l in
+      let keep v = v mod 4 <> dropped in
+      let oracle =
+        List.fold_left
+          (fun acc (p, v) -> if keep v then Some (p, v) else acc)
+          None (Prefix_trie.all_matches ip t)
+      in
+      match (Prefix_trie.deepest_match keep ip t, oracle) with
+      | None, None -> true
+      | Some (p, v), Some (q, w) -> Prefix.equal p q && v = w
+      | _ -> false)
+
 let trie_remove_then_absent =
   qtest "remove makes find None" (QCheck.make assoc_gen) (fun l ->
       let t = trie_of_assoc l in
@@ -216,7 +244,8 @@ let suites =
         prefix_split_partition ] );
     ( "prim.trie",
       [ Alcotest.test_case "units" `Quick trie_units; trie_find_matches_model;
-        trie_lpm_matches_model; trie_remove_then_absent; trie_within_under_prefix ] );
+        trie_lpm_matches_model; trie_deepest_matches_filter; trie_remove_then_absent;
+        trie_within_under_prefix ] );
     ("prim.packet", [ Alcotest.test_case "units" `Quick packet_units ]);
     ("prim.rng", [ Alcotest.test_case "units" `Quick rng_units ]);
     ("prim.intern", [ Alcotest.test_case "units" `Quick intern_units ]);

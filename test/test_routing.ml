@@ -51,6 +51,35 @@ let scc_line () =
   let k = Array.fold_left (fun m c -> max m (c + 1)) 0 comp in
   check Alcotest.int "n components" n k
 
+(* [Scc.first_cycle] against the search it replaced in loop detection: a
+   DFS over every simple path from the start, with no visited set. *)
+let exhaustive_cycle comp out start =
+  let rec dfs path v =
+    if v = start && path <> [] then Some (List.rev path)
+    else if List.exists (fun (w, _) -> w = v) path && v <> start then None
+    else
+      List.fold_left
+        (fun acc ((_, w) as e) ->
+          match acc with
+          | Some _ -> acc
+          | None -> if comp.(w) = comp.(start) then dfs ((v, e) :: path) w else None)
+        None (out v)
+  in
+  dfs [] start
+
+let scc_first_cycle_model =
+  qtest ~count:500 "first_cycle = exhaustive simple-path search"
+    QCheck.(pair (int_range 1 9) (list_of_size Gen.(int_bound 30) (pair (int_bound 8) (int_bound 8))))
+    (fun (n, raw) ->
+      (* edges carry their index, so parallel edges are told apart *)
+      let edges = List.mapi (fun id (a, b) -> (a mod n, (id, b mod n))) raw in
+      let out v = List.filter_map (fun (a, e) -> if a = v then Some e else None) edges in
+      let comp = Scc.compute ~n (Array.init n (fun v -> List.map snd (out v))) in
+      let first_cycle = Scc.first_cycle comp ~out ~target:snd in
+      List.for_all
+        (fun v -> first_cycle v = exhaustive_cycle comp out v)
+        (List.init n Fun.id))
+
 (* --- L3 topology --- *)
 
 let mini_configs () =
@@ -156,6 +185,74 @@ let rib_lpm () =
   (match Rib.lookup rib (Ipv4.of_string "192.168.1.1") with
    | Some (pfx, _) -> check Alcotest.string "default" "0.0.0.0/0" (Prefix.to_string pfx)
    | None -> Alcotest.fail "expected default")
+
+(* [Rib.lookup] against the fold over every matching prefix it replaced:
+   the deepest match whose best set is non-empty. *)
+let rib_lookup_model =
+  let nets = [| p "0.0.0.0/0"; p "10.0.0.0/8"; p "10.1.0.0/16"; p "10.1.1.0/24";
+                p "10.1.1.1/32"; p "10.2.0.0/16" |] in
+  let hops = [| Route.Nh_discard; Route.Nh_ip 1; Route.Nh_ip 2 |] in
+  let ips = [| "10.1.1.1"; "10.1.1.2"; "10.1.2.3"; "10.2.0.1"; "10.3.0.1"; "11.0.0.1" |] in
+  qtest "lookup = all_matches fold"
+    QCheck.(
+      pair
+        (list (triple bool (int_bound (Array.length nets - 1)) (int_bound 2)))
+        (int_bound (Array.length ips - 1)))
+    (fun (ops, i) ->
+      let rib = rib_make () in
+      List.iter
+        (fun (add, n, h) ->
+          let r = Route.static ~net:nets.(n) ~nh:hops.(h) ~ad:1 ~tag:0 in
+          if add then Rib.merge rib r else Rib.withdraw rib r)
+        ops;
+      let ip = Ipv4.of_string ips.(i) in
+      let trie = Rib.fold_best Prefix_trie.add rib Prefix_trie.empty in
+      let oracle =
+        List.fold_left
+          (fun acc (p, best) -> if best <> [] then Some (p, best) else acc)
+          None (Prefix_trie.all_matches ip trie)
+      in
+      Rib.lookup rib ip = oracle)
+
+(* [Route.same] and [Route.compare_ignoring_arrival] against the record-copy
+   definitions they replaced, on routes drawn from two or three values per
+   field so that ties are common. *)
+let route_of_picks = function
+  | [ net; proto; admin; metric; nh; tag; attrs; arrival; peer; rid; area ] ->
+    { Route.net = [| p "10.0.0.0/8"; p "10.0.0.0/16"; p "9.0.0.0/8" |].(net);
+      protocol = [| Route_proto.Ebgp; Route_proto.Ibgp; Route_proto.Static |].(proto);
+      admin; metric;
+      next_hop = [| Route.Nh_ip 1; Route.Nh_iface "e0"; Route.Nh_discard |].(nh);
+      tag;
+      attrs =
+        [| None; Some (Attrs.make ~as_path:[ 65001 ] ());
+           Some (Attrs.make ~as_path:[ 65001; 65002 ] ~communities:[ 7 ] ()) |].(attrs);
+      arrival; from_peer = peer; from_rid = rid; ospf_area = area }
+  | _ -> assert false
+
+(* The second route re-picks each field of the first with probability 1/3,
+   so pairs that differ in a single field are common. *)
+let route_pair_arb =
+  QCheck.make
+    ~print:(fun (a, b) -> Route.to_string a ^ " / " ^ Route.to_string b)
+    QCheck.Gen.(
+      map2
+        (fun picks repicks ->
+          ( route_of_picks picks,
+            route_of_picks (List.map2 (fun p r -> if r < 3 then r else p) picks repicks) ))
+        (list_repeat 11 (int_bound 2))
+        (list_repeat 11 (int_bound 8)))
+
+let route_same_model =
+  qtest ~count:1000 "same = arrival-zeroed equality" route_pair_arb (fun (a, b) ->
+      Route.same a b = ({ a with Route.arrival = 0 } = { b with Route.arrival = 0 }))
+
+let route_order_model =
+  qtest ~count:1000 "compare_ignoring_arrival = arrival-zeroed compare" route_pair_arb
+    (fun (a, b) ->
+      let sign x = compare x 0 in
+      sign (Route.compare_ignoring_arrival a b)
+      = sign (compare { a with Route.arrival = 0 } { b with Route.arrival = 0 }))
 
 let delta_cancellation () =
   let rib = rib_make () in
@@ -337,13 +434,14 @@ let suites =
       [ Alcotest.test_case "coloring units" `Quick coloring_units;
         coloring_valid; coloring_deterministic;
         Alcotest.test_case "scc units" `Quick scc_units;
-        Alcotest.test_case "scc long path" `Quick scc_line;
+        Alcotest.test_case "scc long path" `Quick scc_line; scc_first_cycle_model;
         Alcotest.test_case "l3 inference" `Quick l3_units ] );
     ( "rib",
       [ Alcotest.test_case "admin distance" `Quick rib_units;
         Alcotest.test_case "multipath" `Quick rib_multipath;
         Alcotest.test_case "lpm" `Quick rib_lpm;
-        Alcotest.test_case "delta cancellation" `Quick delta_cancellation ] );
+        Alcotest.test_case "delta cancellation" `Quick delta_cancellation;
+        rib_lookup_model; route_same_model; route_order_model ] );
     ( "bgp.decision",
       [ Alcotest.test_case "steps" `Quick bgp_decision; bgp_total_order;
         Alcotest.test_case "interning" `Quick interning ] );
